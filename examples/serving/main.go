@@ -55,7 +55,9 @@ func main() {
 
 	query := `{"k":5,"aggregate":"sum","algorithm":"auto"}`
 
-	// 1. Cold query: full engine work, algorithm chosen by the planner.
+	// 1. Cold query: nothing cached yet. "auto" answers a live SUM from the
+	// materialized view the server maintains — one scan, no traversal (ask
+	// "wsum" or "max" to watch the planner pick an engine algorithm).
 	ans := postJSON(base+"/v1/topk", query)
 	fmt.Printf("cold query:   %s chose %s (%.0fµs server-side)\n",
 		mode(ans), ans["algorithm"], ans["elapsed_us"])
@@ -76,7 +78,7 @@ func main() {
 		upd["generation"], upd["touched"], upd["elapsed_us"])
 
 	// 4. Same query, new generation: the cache key changed, so the server
-	// recomputes against the fresh scores.
+	// answers afresh — from the view the update batch just repaired.
 	ans = postJSON(base+"/v1/topk", query)
 	fmt.Printf("fresh query:  %s at generation %v — the update is visible\n", mode(ans), ans["generation"])
 	printTop(ans)

@@ -443,3 +443,71 @@ func TestHopClosureMatchesSingleSource(t *testing.T) {
 		t.Fatal("negative hop radius accepted")
 	}
 }
+
+// TestCoordinatorMaxMatchesBase: the descending-score MAX path each shard
+// plans for "auto" — streaming partial batches up and taking the merge
+// threshold λ back down, in process and over the wire — merges to exactly
+// the bytes of a single-engine Base scan, on the score shapes that stress
+// its stopping rule.
+func TestCoordinatorMaxMatchesBase(t *testing.T) {
+	const n = 1200
+	g := gen.BarabasiAlbert(n, 3, 29)
+	rng := rand.New(rand.NewSource(29))
+	pinned := make([]float64, n) // 1% of nodes at 1.0 over a light background
+	for v := range pinned {
+		pinned[v] = 0.4 * rng.Float64()
+	}
+	for _, v := range rng.Perm(n)[:n/100] {
+		pinned[v] = 1
+	}
+	equal := make([]float64, n)
+	for v := range equal {
+		equal[v] = 0.5
+	}
+	sparse := make([]float64, n)
+	sparse[11], sparse[700] = 0.9, 0.3
+	cands := rng.Perm(n)[:150]
+
+	for name, scores := range map[string][]float64{
+		"massive ties": pinned, "all equal": equal, "all zero": make([]float64, n),
+		"sparse": sparse, "eighths": testScores(n, 29),
+	} {
+		engine, err := core.NewEngine(g, scores, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := NewLocal(g, scores, 2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		urls, _ := startWorkers(t, g, scores, 2, 3)
+		wire, err := NewHTTP(context.Background(), urls, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coords := map[string]*Coordinator{
+			"local": NewCoordinator(local, Options{}), // streaming and priming on
+			"http":  NewCoordinator(wire, Options{}),
+		}
+		for _, k := range []int{1, 10, 300, n + 1} {
+			for _, c := range [][]int{nil, cands} {
+				want, err := engine.Run(context.Background(),
+					core.Query{Algorithm: core.AlgoBase, K: k, Aggregate: core.Max, Candidates: c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for via, coord := range coords {
+					got, err := coord.Run(context.Background(), core.Query{K: k, Aggregate: core.Max, Candidates: c})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Truncated {
+						t.Fatalf("%s/%s k=%d: unbudgeted MAX truncated", name, via, k)
+					}
+					assertSameResults(t, name+"/"+via, got.Results, want.Results)
+				}
+			}
+		}
+		wire.Close()
+	}
+}

@@ -21,11 +21,18 @@ import (
 // distributes, because non-candidate scores contribute to candidate
 // aggregates.
 //
+// MAX takes its own path (runBackwardMax): a maximum needs no accumulation,
+// so distributing in descending score order fixes every node at its first
+// touch and the run stops long before the last node has distributed.
+//
 // Requires an undirected graph: distribution relies on v ∈ S_h(u) ⇔
 // u ∈ S_h(v).
 func (e *Engine) runBackwardNaive(x *exec) (Answer, error) {
 	n := e.g.NumNodes()
 	agg := x.q.Aggregate
+	if agg == Max {
+		return e.runBackwardMax(x)
+	}
 	acc := clearedF64(&x.s.acc, n)
 	t := x.s.traverser(e.g)
 	var stats QueryStats
@@ -53,8 +60,6 @@ func (e *Engine) runBackwardNaive(x *exec) (Answer, error) {
 			size = t.AddWeightedWithin(u, e.h, mass, acc)
 		case Count:
 			size = t.AddWithin(u, e.h, 1, acc)
-		case Max:
-			size = t.MaxAddWithin(u, e.h, mass, acc)
 		}
 		stats.Distributed++
 		stats.Visited += size
@@ -72,10 +77,6 @@ func (e *Engine) runBackwardNaive(x *exec) (Answer, error) {
 			acc[v] += mass
 		case Count:
 			acc[v]++
-		case Max:
-			if mass > acc[v] {
-				acc[v] = mass
-			}
 		}
 	}
 
@@ -99,6 +100,105 @@ func (e *Engine) runBackwardNaive(x *exec) (Answer, error) {
 		for v := 0; v < n; v++ {
 			if x.eligible(v) {
 				offer(v, acc[v])
+			}
+		}
+	}
+	return Answer{Results: list.Items(), Stats: stats}, nil
+}
+
+// runBackwardMax answers a MAX query by distributing in descending score
+// order. F_max(v) is the largest score within h hops of v, so the first
+// source to reach v — the highest-scoring one that ever will — fixes v's
+// exact value, and later touches are no-ops. Values are therefore produced
+// in final rank order, score group by score group, and the run ends at the
+// first group boundary where k eligible nodes (or every eligible node) are
+// fixed: every node whose value ties the k-th has been enumerated by then
+// (all sources of that score have distributed), so the list's smallest-id
+// tie-break sees the same population Base does and the answer is
+// byte-identical to Base's, at the cost of the distributed sources'
+// traversals instead of n.
+//
+// Because values arrive in final order, an external floor λ ends the run
+// outright once the next score falls below it. A budget-truncated run
+// credits each undistributed node its own score (a lower bound of its
+// value), like the accumulating path above.
+func (e *Engine) runBackwardMax(x *exec) (Answer, error) {
+	n := e.g.NumNodes()
+	acc := clearedF64(&x.s.acc, n) // 0 = not reached yet; distributed scores are > 0
+	fixed := emptyI32(&x.s.scans, n)
+	t := x.s.traverser(e.g)
+	var stats QueryStats
+	list := topk.New(x.q.K)
+	// offer ranks v at value if the query may rank it at all.
+	offer := func(v int, value float64) bool {
+		if !x.eligible(v) {
+			return false
+		}
+		if list.Offer(v, value) {
+			x.sink.kept(v, value, &stats)
+		}
+		return true
+	}
+
+	// Sorted access by partial selection: a max-heap over the non-zero
+	// scores costs O(n) to build and O(log n) per source actually popped,
+	// where a full sort would charge every fresh score generation
+	// O(n log n) for an order the run abandons after the first few groups.
+	srcNode := emptyI32(&x.s.heapNode, n)
+	srcScore := emptyF64(&x.s.heapBound, n)
+	for v, s := range e.scores {
+		if s > 0 {
+			srcNode, srcScore = append(srcNode, int32(v)), append(srcScore, s)
+		}
+	}
+	heapifyCandidates(srcNode, srcScore)
+
+	need := min(x.q.K, x.candCount) // eligible nodes to fix before the run may stop
+	ranked := 0                     // eligible nodes fixed so far
+	group := 0.0                    // score of the last source that distributed
+	for len(srcNode) > 0 {
+		u, score := int(srcNode[0]), srcScore[0]
+		if ranked >= need && score < group {
+			x.tr.Emit(trace.KindCut, len(srcNode), score, "k nodes fixed and their ties enumerated")
+			break
+		}
+		if err := x.tick(&stats); err != nil {
+			return Answer{}, err
+		}
+		if score < x.floor() {
+			x.tr.Emit(trace.KindCut, len(srcNode), x.floor(), "remaining scores below λ")
+			break
+		}
+		if !x.spend() {
+			break
+		}
+		srcNode, srcScore = popCandidate(srcNode, srcScore)
+		group = score
+		var size int
+		fixed, size = t.FixWithin(u, e.h, score, acc, fixed[:0])
+		stats.Distributed++
+		stats.Visited += size
+		for _, v := range fixed {
+			if offer(int(v), score) {
+				ranked++
+			}
+		}
+	}
+	if x.truncated {
+		for i, u := range srcNode {
+			if v := int(u); acc[v] == 0 {
+				acc[v] = srcScore[i]
+				offer(v, srcScore[i])
+			}
+		}
+	}
+	// Every source distributed (or the budget ran out) and the list still
+	// has room: the nodes nothing reached have value 0 and fill it in id
+	// order, as in Base — unless a positive floor already rules them out.
+	if (len(srcNode) == 0 || x.truncated) && x.floor() == 0 {
+		for v := 0; v < n && !list.Full(); v++ {
+			if acc[v] == 0 {
+				offer(v, 0)
 			}
 		}
 	}
@@ -249,12 +349,7 @@ func (e *Engine) runBackward(x *exec) (Answer, error) {
 			}
 			break
 		}
-		last := len(heapNode) - 1
-		heapNode[0], heapBound[0] = heapNode[last], heapBound[last]
-		heapNode, heapBound = heapNode[:last], heapBound[:last]
-		if last > 0 {
-			downCandidate(heapNode, heapBound, 0)
-		}
+		heapNode, heapBound = popCandidate(heapNode, heapBound)
 		value, _, size := e.evaluate(t, int(topNode), agg)
 		stats.Evaluated++
 		stats.Visited += size
@@ -278,6 +373,17 @@ func heapifyCandidates(nodes []int32, bounds []float64) {
 	for i := len(nodes)/2 - 1; i >= 0; i-- {
 		downCandidate(nodes, bounds, i)
 	}
+}
+
+// popCandidate removes the heap's top entry.
+func popCandidate(nodes []int32, bounds []float64) ([]int32, []float64) {
+	last := len(nodes) - 1
+	nodes[0], bounds[0] = nodes[last], bounds[last]
+	nodes, bounds = nodes[:last], bounds[:last]
+	if last > 0 {
+		downCandidate(nodes, bounds, 0)
+	}
+	return nodes, bounds
 }
 
 func downCandidate(nodes []int32, bounds []float64, i int) {

@@ -45,7 +45,8 @@ const (
 	// Count is the number of relevant (score > 0) nodes in S_h(u).
 	Count
 	// Max is the largest relevance in S_h(u). Only Base and BackwardNaive
-	// support it; the paper's bounds do not transfer to Max.
+	// support it: the paper's bounds do not transfer to Max, but on an
+	// undirected graph BackwardNaive needs none (see runBackwardMax).
 	Max
 )
 

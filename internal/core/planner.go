@@ -30,7 +30,11 @@ type Plan struct {
 // Choose picks a strategy for a (k, aggregate) query.
 //
 // Heuristics, in order:
-//   - MAX has no transferable bound: Base (parallel if the graph is big).
+//   - MAX needs no bound on an undirected graph: BackwardNaive's MAX path
+//     distributes in descending score order, fixes every node at its first
+//     touch and stops once k nodes and their ties are fixed
+//     (runBackwardMax). Directed graphs cannot distribute backward and MAX
+//     has no transferable pruning bound there: Base.
 //   - Directed graphs cannot distribute backward: Forward if the
 //     differential index exists, otherwise Base.
 //   - Sparse scores (few non-zero) make distribution almost free:
@@ -39,6 +43,10 @@ type Plan struct {
 //   - Otherwise Forward when the differential index is already built
 //     (its offline cost must not be charged to one query), else
 //     LONA-Backward with a γ that distributes roughly the top decile.
+//   - Wherever LONA-Backward would be chosen but its γ lets (nearly) every
+//     node distribute — COUNT over all-relevant nodes, where the 0/1 mass
+//     cannot be split by any γ, or all-equal scores — the "partial"
+//     distribution is a full one plus a verification pass: Base instead.
 func (p *Planner) Choose(k int, agg Aggregate) Plan {
 	e := p.e
 	n := e.g.NumNodes()
@@ -46,7 +54,11 @@ func (p *Planner) Choose(k int, agg Aggregate) Plan {
 		return Plan{Algorithm: AlgoBase, Reason: "empty graph"}
 	}
 	if agg == Max {
-		return Plan{Algorithm: AlgoBase, Reason: "MAX has no pruning bound"}
+		if e.g.Directed() {
+			return Plan{Algorithm: AlgoBase, Reason: "MAX on a directed graph has no pruning bound"}
+		}
+		return Plan{Algorithm: AlgoBackwardNaive,
+			Reason: "MAX: descending-score distribution fixes each node at first touch"}
 	}
 	if e.g.Directed() {
 		if e.HasDifferentialIndex() {
@@ -73,17 +85,36 @@ func (p *Planner) Choose(k int, agg Aggregate) Plan {
 		return Plan{Algorithm: AlgoBackwardNaive,
 			Reason: fmt.Sprintf("only %.1f%% non-zero scores: full distribution is cheap and exact", 100*density)}
 	case float64(heavy)/float64(n) <= 0.4:
-		gamma := p.gammaKnee()
-		return Plan{Algorithm: AlgoBackward, Options: Options{Gamma: gamma},
-			Reason: fmt.Sprintf("light score mass (%.1f%% heavy): partial distribution at γ=%.2f", 100*float64(heavy)/float64(n), gamma)}
+		return p.backwardOrScan(agg, fmt.Sprintf("light score mass (%.1f%% heavy)", 100*float64(heavy)/float64(n)))
 	case e.HasDifferentialIndex():
 		return Plan{Algorithm: AlgoForward, Options: Options{Order: orderForAgg(agg)},
 			Reason: "dense scores with a prebuilt differential index"}
 	default:
-		gamma := p.gammaKnee()
-		return Plan{Algorithm: AlgoBackward, Options: Options{Gamma: gamma},
-			Reason: fmt.Sprintf("dense scores, no index: partial distribution at γ=%.2f", gamma)}
+		return p.backwardOrScan(agg, "dense scores, no index")
 	}
+}
+
+// backwardOrScan plans LONA-Backward at the distribution knee — unless that
+// γ would have at least nine nodes in ten distribute. Then every bound is
+// (nearly) exact before verification starts, so Backward costs a full
+// distribution plus the verification pass, and the plain scan — the same
+// number of traversals, gathering instead of scattering — is cheaper.
+func (p *Planner) backwardOrScan(agg Aggregate, why string) Plan {
+	e := p.e
+	n := e.g.NumNodes()
+	gamma := p.gammaKnee() // always positive, so zero-score nodes never count
+	dist := 0
+	for v := 0; v < n; v++ {
+		if e.boundScore(v, agg) >= gamma {
+			dist++
+		}
+	}
+	if 10*dist >= 9*n {
+		return Plan{Algorithm: AlgoBase,
+			Reason: fmt.Sprintf("%s, but %d of %d nodes would distribute at γ=%.2f: scan instead", why, dist, n, gamma)}
+	}
+	return Plan{Algorithm: AlgoBackward, Options: Options{Gamma: gamma},
+		Reason: fmt.Sprintf("%s: partial distribution at γ=%.2f", why, gamma)}
 }
 
 // gammaKnee picks the distribution threshold so that roughly the top 10%

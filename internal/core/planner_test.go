@@ -103,12 +103,72 @@ func TestPlannerPicksBackwardNaiveForSparse(t *testing.T) {
 	}
 }
 
-func TestPlannerPicksBaseForMax(t *testing.T) {
+func TestPlannerMax(t *testing.T) {
 	g := randomGraph(50, 150, 43)
 	e := mustEngine(t, g, randomScores(50, 43), 2)
-	plan := NewPlanner(e).Choose(5, Max)
-	if plan.Algorithm != AlgoBase {
-		t.Fatalf("MAX chose %v", plan.Algorithm)
+	if plan := NewPlanner(e).Choose(5, Max); plan.Algorithm != AlgoBackwardNaive {
+		t.Fatalf("MAX on an undirected graph chose %v (%s)", plan.Algorithm, plan.Reason)
+	}
+	b := graph.NewBuilder(3, true)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	d := mustEngine(t, b.Build(), []float64{0.1, 0.2, 0.3}, 2)
+	if plan := NewPlanner(d).Choose(1, Max); plan.Algorithm != AlgoBase {
+		t.Fatalf("MAX on a directed graph chose %v (%s)", plan.Algorithm, plan.Reason)
+	}
+}
+
+// TestPlannerScansWhenEveryNodeWouldDistribute: COUNT's 0/1 mass cannot be
+// split by any γ, and neither can all-equal scores, so where Backward's
+// distribution set is the whole graph the planner takes the plain scan —
+// and the answer stays Base's.
+func TestPlannerScansWhenEveryNodeWouldDistribute(t *testing.T) {
+	g := randomGraph(300, 900, 59)
+	rng := rand.New(rand.NewSource(59))
+	allRelevant := make([]float64, 300)
+	equal := make([]float64, 300)
+	for v := range allRelevant {
+		allRelevant[v] = 0.01 + 0.3*rng.Float64() // light mass, nothing zero
+		equal[v] = 0.7
+	}
+	allRelevant[7] = 1
+	cases := []struct {
+		name   string
+		scores []float64
+		agg    Aggregate
+		want   Algorithm
+	}{
+		{"count over all-relevant nodes", allRelevant, Count, AlgoBase},
+		{"sum over the same scores", allRelevant, Sum, AlgoBackward},
+		{"sum over all-equal scores", equal, Sum, AlgoBase},
+	}
+	for _, c := range cases {
+		e := mustEngine(t, g, c.scores, 2)
+		plan := NewPlanner(e).Choose(10, c.agg)
+		if plan.Algorithm != c.want {
+			t.Errorf("%s: chose %v (%s), want %v", c.name, plan.Algorithm, plan.Reason, c.want)
+		}
+		auto, err := e.Run(context.Background(), Query{K: 10, Aggregate: c.agg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := e.Base(10, c.agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResults(auto.Results, want) {
+			t.Errorf("%s: auto %v != Base %v", c.name, auto.Results, want)
+		}
+	}
+
+	// Half the nodes relevant: COUNT still distributes only those.
+	half := append([]float64(nil), allRelevant...)
+	for v := 0; v < len(half); v += 2 {
+		half[v] = 0
+	}
+	e := mustEngine(t, g, half, 2)
+	if plan := NewPlanner(e).Choose(10, Count); plan.Algorithm != AlgoBackward {
+		t.Errorf("count over half-relevant nodes chose %v (%s)", plan.Algorithm, plan.Reason)
 	}
 }
 

@@ -18,10 +18,10 @@ type queryScratch struct {
 	pruned      []bool    // forward: pruned-by-bound flags
 	processed   []bool    // forward: already-dequeued flags
 	acc         []float64 // backward: accumulated mass P(v)
-	scans       []int32   // backward: scan counts l(v)
+	scans       []int32   // backward: scan counts l(v); MAX: nodes one source fixed
 	distributed []bool    // backward: did v distribute?
-	heapNode    []int32   // backward: verification heap, nodes
-	heapBound   []float64 // backward: verification heap, bounds
+	heapNode    []int32   // backward: verification heap, nodes; MAX: source heap
+	heapBound   []float64 // backward: verification heap, bounds; MAX: source scores
 	trav        *graph.Traverser
 }
 

@@ -320,6 +320,12 @@ func (v *View) rebuildFrom(ctx context.Context, newG *graph.Graph, delta *graph.
 	}, nil
 }
 
+// Maintains reports whether the view materializes agg — whether Run can
+// answer it.
+func (v *View) Maintains(agg Aggregate) bool {
+	return agg == Sum || agg == Avg || agg == Count
+}
+
 // Run answers a top-k query from the materialized state — the same
 // context-aware Query shape as Engine.Run, served by one linear heap scan
 // with no traversal. Supported aggregates: Sum, Avg, Count. The Algorithm
@@ -327,6 +333,13 @@ func (v *View) rebuildFrom(ctx context.Context, newG *graph.Graph, delta *graph.
 // moot: the scan performs no h-hop traversals, so nothing spends budget.
 // Candidates restrict the scan; the context is polled periodically so even
 // the O(n) scan of a huge network is abandonable.
+//
+// This is the read path internal/server routes every live "auto"
+// SUM/AVG/COUNT query to: the maintenance above is paid per write, so the
+// read must not re-traverse. Sums accumulate in update order here and in
+// BFS order in the engines, so a View answer equals Base's up to the last
+// ulps of a float sum (ranks may swap among values tied at that precision);
+// COUNT is integral and exact.
 //
 // Run is a reader under the View's RWMutex discipline (see the type docs).
 func (v *View) Run(ctx context.Context, q Query) (Answer, error) {

@@ -429,18 +429,22 @@ func (t *Traverser) AddWeightedWithin(src, h int, mass float64, acc []float64) (
 	return len(t.queue)
 }
 
-// MaxAddWithin raises acc[v] to mass where smaller, over S_h(src), and
-// returns |S_h(src)| — the MAX backward step.
-func (t *Traverser) MaxAddWithin(src, h int, mass float64, acc []float64) (size int) {
+// FixWithin sets acc[v] = mass for every v in S_h(src) whose acc[v] is still
+// zero, appends those nodes to fixed, and returns the extended slice with
+// |S_h(src)| — the MAX backward step. When sources distribute in descending
+// mass order the first mass to reach a node is its neighborhood maximum, so
+// a fixed value is final. mass must be positive: zero means "not reached".
+func (t *Traverser) FixWithin(src, h int, mass float64, acc []float64, fixed []int32) ([]int32, int) {
 	if h < 0 {
-		return 0
+		return fixed, 0
 	}
 	t.seen.Reset()
 	t.queue = t.queue[:0]
 	t.seen.Mark(src)
 	t.queue = append(t.queue, int32(src))
-	if mass > acc[src] {
+	if acc[src] == 0 {
 		acc[src] = mass
+		fixed = append(fixed, int32(src))
 	}
 	adj, offsets := t.g.adj, t.g.offsets
 	levelStart := 0
@@ -456,14 +460,15 @@ func (t *Traverser) MaxAddWithin(src, h int, mass float64, acc []float64) (size 
 					continue
 				}
 				t.queue = append(t.queue, v)
-				if mass > acc[v] {
+				if acc[v] == 0 {
 					acc[v] = mass
+					fixed = append(fixed, v)
 				}
 			}
 		}
 		levelStart = levelEnd
 	}
-	return len(t.queue)
+	return fixed, len(t.queue)
 }
 
 // AddScanWithin adds mass to acc[v] and increments scans[v] for every v

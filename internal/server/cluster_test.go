@@ -61,7 +61,13 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 4", got)
 	}
 	for _, algo := range []string{"auto", "base", "parallel", "forward-dist", "backward", "backward-naive"} {
-		for _, agg := range []string{"sum", "avg", "count"} {
+		aggs := []string{"sum", "avg", "count"}
+		if algo == "auto" {
+			// Live auto SUM/AVG/COUNT is answered by the view (below);
+			// WSUM and MAX are what auto still fans out.
+			aggs = []string{"wsum", "max"}
+		}
+		for _, agg := range aggs {
 			req := QueryRequest{K: 10, Aggregate: agg, Algorithm: algo}
 			want, err := plain.Run(ctx, req)
 			if err != nil {
@@ -79,13 +85,16 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			}
 		}
 	}
-	// The view path stays whole-graph and unsharded.
-	vans, err := sharded.Run(ctx, QueryRequest{K: 10, Aggregate: "sum", Algorithm: "view"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vans.Shards != 0 {
-		t.Fatalf("view answer claims sharded execution: %+v", vans)
+	// The view path — named, or routed to by auto — stays whole-graph and
+	// unsharded.
+	for _, algo := range []string{"view", "auto"} {
+		vans, err := sharded.Run(ctx, QueryRequest{K: 10, Aggregate: "sum", Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vans.Algorithm != "view" || vans.Shards != 0 {
+			t.Fatalf("%s/sum: want an unsharded view answer, got %+v", algo, vans)
+		}
 	}
 }
 
@@ -195,7 +204,7 @@ func TestReshardEndpoint(t *testing.T) {
 	if !strings.Contains(body, `"shards":3`) || !strings.Contains(body, `"topology_generation":1`) {
 		t.Fatalf("reshard response: %s", body)
 	}
-	if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum"}); err != nil {
+	if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "wsum"}); err != nil {
 		t.Fatal(err)
 	}
 	stats := s.Stats()

@@ -241,7 +241,7 @@ func TestShardedServerEdits(t *testing.T) {
 	for _, req := range []QueryRequest{
 		{K: 12, Aggregate: "sum", Algorithm: "base"},
 		{K: 12, Aggregate: "avg", Algorithm: "base"},
-		{K: 12, Aggregate: "count", Algorithm: "auto"},
+		{K: 12, Aggregate: "wsum", Algorithm: "auto"}, // auto COUNT would be view-served, not fanned out
 		{K: 1, Aggregate: "sum", Algorithm: "base", Candidates: []int{300}},
 	} {
 		got, err := sharded.Run(ctx, req)

@@ -84,7 +84,7 @@ func TestMetricsAndStatsUnderLoad(t *testing.T) {
 	go func() { // queries: mixed k and aggregates, some traced
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			body := fmt.Sprintf(`{"k":%d,"aggregate":"sum","trace":%v}`, 1+i%7, i%5 == 0)
+			body := fmt.Sprintf(`{"k":%d,"aggregate":"wsum","trace":%v}`, 1+i%7, i%5 == 0)
 			resp, err := http.Post(srv.URL+"/v1/topk", "application/json", strings.NewReader(body))
 			if err != nil {
 				errs <- err
@@ -188,7 +188,7 @@ func TestTraceSurface(t *testing.T) {
 	scores := testScores(200, 22)
 	s := mustServer(t, g, scores, 2, Options{Shards: 2, SkipIndexes: true})
 
-	req := QueryRequest{K: 5, Aggregate: "sum"}
+	req := QueryRequest{K: 5, Aggregate: "wsum"} // auto WSUM fans out; SUM would be view-served
 	plain, err := s.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestWideEventsUnderLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				body := fmt.Sprintf(`{"k":%d,"aggregate":"sum"}`, 1+(w+i)%6)
+				body := fmt.Sprintf(`{"k":%d,"aggregate":"wsum"}`, 1+(w+i)%6)
 				resp, err := http.Post(srv.URL+"/v1/topk", "application/json", strings.NewReader(body))
 				if err != nil {
 					errs <- err
@@ -522,7 +522,7 @@ func TestOTLPExportStitchesShardSpans(t *testing.T) {
 		SkipIndexes: true, ShardWorkers: workerURLs,
 		TraceExporter: exp, CacheBytes: -1,
 	})
-	if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum"}); err != nil {
+	if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "wsum"}); err != nil {
 		t.Fatal(err)
 	}
 	closeCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -582,7 +582,7 @@ func TestReshardResetsShardHistograms(t *testing.T) {
 	scores := testScores(200, 42)
 	s := mustServer(t, g, scores, 2, Options{Shards: 2, SkipIndexes: true, CacheBytes: -1})
 
-	if _, err := s.Run(ctx, QueryRequest{K: 4, Aggregate: "sum"}); err != nil {
+	if _, err := s.Run(ctx, QueryRequest{K: 4, Aggregate: "wsum"}); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Stats()
@@ -633,16 +633,19 @@ func TestRenderMetricsIsValid(t *testing.T) {
 			t.Fatalf("quiet server (shards=%d): %v", shards, err)
 		}
 		for i := 1; i <= 4; i++ {
-			if _, err := s.Run(ctx, QueryRequest{K: i, Aggregate: "sum"}); err != nil {
-				t.Fatal(err)
+			// WSUM fans out when sharded; SUM exercises the "view" label.
+			for _, agg := range []string{"wsum", "sum"} {
+				if _, err := s.Run(ctx, QueryRequest{K: i, Aggregate: agg}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		body := s.renderMetrics()
 		if err := promtext.Validate([]byte(body)); err != nil {
 			t.Fatalf("busy server (shards=%d): %v\n%s", shards, err, body)
 		}
-		if !strings.Contains(body, `lona_query_duration_seconds_bucket{algorithm=`) {
-			t.Fatal("per-algorithm latency histogram missing from /metrics")
+		if !strings.Contains(body, `lona_query_duration_seconds_bucket{algorithm="view",`) {
+			t.Fatal("view-routed queries missing from the per-algorithm latency histogram in /metrics")
 		}
 		if shards > 1 && !strings.Contains(body, `lona_shard_query_duration_seconds_bucket{shard="0",`) {
 			t.Fatal("per-shard latency histogram missing from /metrics")

@@ -2,8 +2,9 @@
 // top-k query service over one (graph, relevance, h) triple. It wraps a
 // core.Engine / core.View pair behind an HTTP/JSON API:
 //
-//	POST /v1/topk   — answer a top-k query; algorithm "auto" delegates to
-//	                  the cost-based planner per request. Requests may set
+//	POST /v1/topk   — answer a top-k query; algorithm "auto" reads the
+//	                  materialized view where it can and delegates to the
+//	                  cost-based planner otherwise. Requests may set
 //	                  timeout_ms (server-side deadline), budget (max h-hop
 //	                  traversals), and candidates (restrict ranked nodes),
 //	                  and are aborted when the client disconnects.
@@ -45,15 +46,34 @@
 // the one executing caller is cancelled, a surviving waiter re-executes
 // instead of inheriting the cancellation.
 //
+// # What "auto" executes
+//
+// Reads use what writes already paid for. On an undirected graph every
+// write repairs the View, so a live "auto" query asking SUM, AVG or COUNT
+// — any k, candidates or not, budget or not, sharded or not — is answered
+// by View.Run under the read lock and reported as algorithm "view",
+// planned, with a reason (Server.runView). Everything else takes the
+// engine or coordinator path: WSUM and MAX, directed graphs (no view),
+// as_of and window queries (retained generations have engines, not views),
+// and every explicitly named algorithm. A view scan that loses the race to
+// a write falls back to the snapshot's engine, so an answer is always
+// computed at the generation its cache key names.
+//
+// The view sums in a different order than an engine traversal, so an
+// "auto"+as_of answer executed on a retained engine equals the live
+// (view-routed) answer of that generation up to summation-order ulps; it
+// is byte-identical for every explicitly named algorithm, and on a
+// retained cache hit (TestAsOfByteIdentity).
+//
 // # Sharded serving
 //
 // With Options.Shards > 1 (lonad -shards) the server builds an
 // internal/cluster Coordinator over in-process partition shards and
 // routes every engine query through it; with Options.ShardWorkers set
 // (lonad -shard-peers) the shards live behind worker lonad processes and
-// the fan-out crosses HTTP. The "view" algorithm always serves from the
-// whole-graph materialized view — it is a single O(n) scan with nothing
-// to distribute. POST /v1/reshard re-partitions a -shards server live,
+// the fan-out crosses HTTP. View-served queries (above) always scan the
+// coordinator's whole-graph materialized view — a single O(n) scan with
+// nothing to distribute. POST /v1/reshard re-partitions a -shards server live,
 // and /v1/stats grows a cluster section with per-shard latency and
 // cross-shard message counters.
 package server
@@ -94,7 +114,8 @@ type Options struct {
 	// SkipIndexes skips eager index construction; the first query to need
 	// an index builds it lazily instead (core serializes racing builds).
 	// Until the differential index exists the planner avoids Forward.
-	// Intended for tests and tiny datasets.
+	// Intended for tests and tiny datasets. (The differential index is
+	// only ever built eagerly for directed graphs; see New.)
 	SkipIndexes bool
 	// Shards > 1 executes queries through an in-process
 	// cluster.Coordinator over this many partition-local engines; 0 or 1
@@ -367,7 +388,15 @@ func New(g *graph.Graph, scores []float64, h int, opts Options) (*Server, error)
 		// construction; WithScores rebuilds share these, so it is one
 		// build per server lifetime, not per generation.
 		engine.PrepareNeighborhoodIndex(opts.Workers)
-		engine.PrepareDifferentialIndex(opts.Workers)
+		if s.view == nil {
+			// The differential index only pays for itself where the
+			// planner reaches for Forward on live traffic: directed graphs.
+			// With a view, live SUM/AVG/COUNT never touch the engine, and
+			// the first structural edit (live or replayed below) would
+			// drop the index anyway; an explicit "forward" request still
+			// builds it lazily.
+			engine.PrepareDifferentialIndex(opts.Workers)
+		}
 	}
 	// The boot generation enters the retention ring first; any replayed
 	// commits below retain their own generations through the apply
@@ -509,7 +538,8 @@ func (s *Server) numNodes() int {
 
 // QueryRequest is the decoded /v1/topk body. Aggregate and Algorithm are
 // the lowercase names cmd/lona uses; Algorithm additionally accepts "auto"
-// (the planner decides) and "view" (serve from the materialized view).
+// (the view answers live SUM/AVG/COUNT, the planner decides the rest) and
+// "view" (serve from the materialized view or fail).
 type QueryRequest struct {
 	K         int     `json:"k"`
 	Aggregate string  `json:"aggregate"`
@@ -532,11 +562,13 @@ type QueryRequest struct {
 	// singleflight collapse and is never cached, because its trace
 	// describes that one execution.
 	Trace bool `json:"trace,omitempty"`
-	// AsOf pins the query to a retained generation: the answer is
-	// byte-identical to what a live query would have returned at that
-	// generation (it IS the cached live answer when one is still
-	// resident — the time-travel fast path). 0 (and the live generation)
-	// mean "now"; generations outside the retention ring are rejected.
+	// AsOf pins the query to a retained generation. The answer IS the
+	// cached live answer when one is still resident (the time-travel fast
+	// path); otherwise it executes on that generation's retained engine —
+	// byte-identical to the live answer for explicitly named algorithms,
+	// equal up to summation-order ulps where the live "auto" answer came
+	// from the view. 0 (and the live generation) mean "now"; generations
+	// outside the retention ring are rejected.
 	AsOf uint64 `json:"as_of,omitempty"`
 	// Window widens the query across the Window most recent retained
 	// generations ending at AsOf (or the live generation): each node's
@@ -890,9 +922,10 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// execute runs the query against one snapshot's immutable engine, its
-// pinned shard set, or the live view (under RLock so it cannot race an
-// update batch).
+// execute runs the query against the live view (SUM/AVG/COUNT under
+// "auto" or "view" at the live generation — see runView), or else against
+// the snapshot's immutable engine or its pinned shard set. Every answer is
+// computed at snap.gen: callers key caches and collapsed flights by it.
 func (s *Server) execute(ctx context.Context, req QueryRequest, agg core.Aggregate, order core.QueueOrder,
 	snap snapshot) (*Answer, error) {
 
@@ -922,77 +955,91 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, agg core.Aggrega
 		return ans, nil
 	}
 
-	switch req.Algorithm {
-	case algoView:
-		// The view is mutated in place by update batches, so hold the read
-		// lock for the scan (View's documented RWMutex discipline). The
-		// generation is re-read because the scan observes the live view,
-		// which may be newer than the snapshot taken for the cache key.
-		// Sharding never applies here: the view is a whole-graph
-		// structure answering with one O(n) scan.
-		s.mu.RLock()
-		ans.Generation = s.gen
-		viewStart := time.Now()
-		res, err := snap.view.Run(ctx, core.Query{K: req.K, Aggregate: agg, Candidates: req.Candidates})
-		s.mu.RUnlock()
+	// The routing rule: what the view maintains, the view answers. Every
+	// write already repaired it, so a live SUM/AVG/COUNT read is one O(n)
+	// scan instead of a traversal per candidate.
+	if snap.view != nil && (req.Algorithm == algoView || req.Algorithm == "auto" && snap.view.Maintains(agg)) {
+		served, err := s.runView(ctx, req, agg, snap, rec, ans)
 		if err != nil {
 			return nil, err
 		}
-		rec.Span(trace.KindExec, viewStart, len(res.Results), 0, "materialized view scan")
-		ans.Results = res.Results
+		if served {
+			s.finishExecute(ans, req, rec, start)
+			return ans, nil
+		}
+		// A write got in between the snapshot and the scan. The cache key
+		// and any collapsed waiters are bound to snap.gen, so answer from
+		// the snapshot's engine, which is immutable at that generation.
+	}
 
-	case "auto":
-		// AlgoAuto delegates to the planner; the engine memoizes the
-		// decision per instance, and each generation is a fresh
-		// WithScores engine, so the plan's O(n) statistics scan runs once
-		// per (generation, aggregate), not per cold query. When sharded,
-		// each shard engine plans for its own score distribution.
-		res, err := s.dispatch(ctx, snap, ans, core.Query{
-			Algorithm:  core.AlgoAuto,
-			K:          req.K,
-			Aggregate:  agg,
-			Candidates: req.Candidates,
-			Budget:     req.Budget,
-			Tracer:     rec,
-		})
-		if err != nil {
-			return nil, err
+	q := core.Query{K: req.K, Aggregate: agg, Candidates: req.Candidates, Budget: req.Budget, Tracer: rec}
+	if req.Algorithm != "auto" && req.Algorithm != algoView {
+		q.Algorithm, _ = ParseAlgorithm(req.Algorithm) // validated in normalize
+		// Wire-supplied parallelism was already clamped to GOMAXPROCS by
+		// normalize, before the cache key was built.
+		q.Options = core.Options{Gamma: req.Gamma, Order: order, Workers: req.Workers}
+		if q.Options.Workers <= 0 {
+			q.Options.Workers = s.opts.Workers
 		}
-		ans.Results, ans.Stats, ans.Truncated = res.Results, res.Stats, res.Truncated
+	}
+	res, err := s.dispatch(ctx, snap, ans, q)
+	if err != nil {
+		return nil, err
+	}
+	ans.Results, ans.Stats, ans.Truncated = res.Results, res.Stats, res.Truncated
+	if q.Algorithm == core.AlgoAuto {
+		// AlgoAuto delegates to the planner; the engine memoizes the
+		// decision per instance, and each generation is a fresh WithScores
+		// engine, so the plan's O(n) statistics scan runs once per
+		// (generation, aggregate), not per cold query. When sharded, each
+		// shard engine plans for its own score distribution.
 		ans.Planned = true
 		if res.Plan != nil {
 			ans.Algorithm = res.Plan.Algorithm.String()
 			ans.Reason = res.Plan.Reason
 		}
-
-	default:
-		algo, _ := ParseAlgorithm(req.Algorithm) // validated in normalize
-		// Wire-supplied parallelism was already clamped to GOMAXPROCS by
-		// normalize, before the cache key was built.
-		opts := core.Options{Gamma: req.Gamma, Order: order, Workers: req.Workers}
-		if opts.Workers <= 0 {
-			opts.Workers = s.opts.Workers
-		}
-		res, err := s.dispatch(ctx, snap, ans, core.Query{
-			Algorithm:  algo,
-			K:          req.K,
-			Aggregate:  agg,
-			Options:    opts,
-			Candidates: req.Candidates,
-			Budget:     req.Budget,
-			Tracer:     rec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ans.Results, ans.Stats, ans.Truncated = res.Results, res.Stats, res.Truncated
+	} else {
 		// Report core's canonical name so explicitly requested and
 		// planner-chosen runs share one latency histogram per algorithm.
-		ans.Algorithm = algo.String()
+		ans.Algorithm = q.Algorithm.String()
 	}
 
 	s.finishExecute(ans, req, rec, start)
 	return ans, nil
+}
+
+// viewReason is the plan rationale a view-routed "auto" answer carries.
+const viewReason = "live generation: the materialized view already holds this aggregate for every node"
+
+// runView answers from the materialized view, provided the live
+// generation is still the one the caller snapshotted. The view is mutated
+// in place by write batches, so the scan holds the read lock (View's
+// documented RWMutex discipline); served=false means a write advanced the
+// generation first and nothing was computed. Sharding never applies here:
+// the view is a whole-graph structure answering with one O(n) scan, and
+// the scan performs no traversals for a budget to cap.
+func (s *Server) runView(ctx context.Context, req QueryRequest, agg core.Aggregate, snap snapshot,
+	rec *trace.Recorder, ans *Answer) (served bool, err error) {
+
+	s.mu.RLock()
+	if s.gen != snap.gen {
+		s.mu.RUnlock()
+		return false, nil
+	}
+	ans.Algorithm = algoView
+	if req.Algorithm == "auto" {
+		ans.Planned, ans.Reason = true, viewReason
+		rec.Emit(trace.KindPlan, 0, 0, algoView+": "+viewReason)
+	}
+	scanStart := time.Now()
+	res, err := snap.view.Run(ctx, core.Query{K: req.K, Aggregate: agg, Candidates: req.Candidates})
+	s.mu.RUnlock()
+	if err != nil {
+		return false, err
+	}
+	rec.Span(trace.KindExec, scanStart, len(res.Results), 0, "materialized view scan")
+	ans.Results = res.Results
+	return true, nil
 }
 
 // finishExecute settles one execution's timing, metrics, slow flag, and
