@@ -28,7 +28,6 @@
 //	POST /v1/scores  {"updates":[{"node":17,"score":0.9}]}
 //	POST /v1/edges   {"edits":[{"op":"add-edge","u":17,"v":40},
 //	                  {"op":"remove-edge","u":3,"v":9},{"op":"add-node"}]}
-//	POST /v1/reshard {"shards":8}
 //	POST /v1/snapshot {"path":"collab.snap"}   (anchors the journal when -journal is set)
 //	POST /v1/catchup (probe shard workers; replay the journal suffix to stragglers)
 //	GET  /v1/stats
@@ -39,9 +38,11 @@
 // an append-only commit journal; a restarted daemon replays the suffix
 // past its boot state (the anchored snapshot when one exists) and
 // reconstructs the current generation bit-identically. /v1/topk accepts
-// "as_of":G to answer from a retained past generation, and "window":W
-// with "window_agg":"max"|"decay" for temporal aggregation across the
-// last W generations; -journal-retain bounds the retained ring.
+// "as_of":G to answer from a retained past generation; -journal-retain
+// bounds the retained ring.
+//
+// The shard count (-shards, or the -shard-peers list) is fixed at boot;
+// changing it means restarting the daemon.
 //
 // Observability: the daemon logs one structured "wide event" per query
 // and edit batch via log/slog (-log json for machine-readable lines);
@@ -108,7 +109,7 @@ func main() {
 		shardPeers  = flag.String("shard-peers", "", "comma-separated shard-worker base URLs, in shard-index order; queries fan out to them")
 
 		journalDir    = flag.String("journal", "", "commit-journal directory: durably append every applied /v1/scores and /v1/edges batch and replay the suffix at boot; with an anchor from POST /v1/snapshot, boot resumes from that snapshot plus replay")
-		journalRetain = flag.Int("journal-retain", 0, "generations kept resident for as_of and window time-travel queries (0 = default)")
+		journalRetain = flag.Int("journal-retain", 0, "generations kept resident for as_of time-travel queries (0 = default)")
 
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
 		slowQueryMS = flag.Int64("slow-query-ms", 0, "escalate the wide event of queries at or over this many milliseconds to WARN; 0 disables")
@@ -201,6 +202,8 @@ func run(cfg config) error {
 	switch {
 	case cfg.shardWorker && len(peers) > 0:
 		return fmt.Errorf("-shard-worker and -shard-peers are mutually exclusive")
+	case cfg.shards > 1 && len(peers) > 0:
+		return fmt.Errorf("-shards %d and -shard-peers are mutually exclusive: a coordinator's shard count is its peer list's length", cfg.shards)
 	case cfg.shardWorker && cfg.snapshot == "" && (cfg.shardIndex < 0 || cfg.shardIndex >= cfg.shards):
 		return fmt.Errorf("-shard-index %d outside the %d-shard partitioning", cfg.shardIndex, cfg.shards)
 	case cfg.shards < 1:
@@ -386,7 +389,7 @@ func run(cfg config) error {
 		logger.Info("serving", "addr", ln.Addr().String(), "api", "shard protocol")
 	} else {
 		logger.Info("serving", "addr", ln.Addr().String(),
-			"api", "/v1/topk /v1/scores /v1/edges /v1/reshard /v1/catchup /v1/snapshot /v1/stats /v1/health /metrics")
+			"api", "/v1/topk /v1/scores /v1/edges /v1/catchup /v1/snapshot /v1/stats /v1/health /metrics")
 	}
 	err = serveUntilDone(sigCtx, logger, handler, ln, cfg.drain)
 	if exp != nil {

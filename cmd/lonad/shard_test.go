@@ -14,17 +14,28 @@ import (
 )
 
 // TestConfigValidation: the shard flag combinations that cannot work are
-// rejected before any dataset is built.
+// rejected before any dataset is built — each with an error naming the
+// flags at fault (a bare config would fail anyway, for lack of a dataset).
 func TestConfigValidation(t *testing.T) {
-	bad := []config{
-		{shards: 0},
-		{shards: 2, shardWorker: true, shardIndex: 2},
-		{shards: 2, shardWorker: true, shardIndex: -1},
-		{shards: 2, shardWorker: true, shardPeers: "http://x"},
+	bad := []struct {
+		cfg  config
+		want []string
+	}{
+		{config{shards: 0}, []string{"-shards"}},
+		{config{shards: 2, shardWorker: true, shardIndex: 2}, []string{"-shard-index"}},
+		{config{shards: 2, shardWorker: true, shardIndex: -1}, []string{"-shard-index"}},
+		{config{shards: 2, shardWorker: true, shardPeers: "http://x"}, []string{"-shard-worker", "-shard-peers"}},
+		{config{shards: 2, shardPeers: "http://x"}, []string{"-shards", "-shard-peers"}},
 	}
-	for i, cfg := range bad {
-		if err := run(cfg); err == nil {
-			t.Fatalf("case %d: invalid config %+v accepted", i, cfg)
+	for i, tc := range bad {
+		err := run(tc.cfg)
+		if err == nil {
+			t.Fatalf("case %d: invalid config %+v accepted", i, tc.cfg)
+		}
+		for _, flag := range tc.want {
+			if !strings.Contains(err.Error(), flag) {
+				t.Fatalf("case %d: error %q does not name %s", i, err, flag)
+			}
 		}
 	}
 }

@@ -30,18 +30,6 @@ func postJSON(t *testing.T, url, body string) string {
 	return string(blob)
 }
 
-// postJSONStatus POSTs a JSON body and returns just the status code.
-func postJSONStatus(t *testing.T, url, body string) int {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode
-}
-
 // shardedPair builds an unsharded and a P-sharded server over the same
 // dataset, both without eager indexes (tiny test graphs).
 func shardedPair(t *testing.T, n, m int, seed int64, parts int) (*Server, *Server) {
@@ -126,90 +114,18 @@ func TestShardedScoreUpdates(t *testing.T) {
 	}
 }
 
-// TestReshardInvalidatesCache is the cache-keying satellite: a cached
-// answer from one topology must never serve after a reshard, even though
-// the merged results are identical — and switching back must not revive
-// entries from the earlier same-count topology either.
-func TestReshardInvalidatesCache(t *testing.T) {
-	g := testGraph(300, 900, 13)
-	s := mustServer(t, g, testScores(300, 13), 2, Options{SkipIndexes: true, Shards: 2})
-	req := QueryRequest{K: 8, Aggregate: "sum", Algorithm: "base"}
-
-	first, err := s.Run(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := s.Run(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Cached {
-		t.Fatal("repeat at unchanged topology missed the cache")
-	}
-
-	if err := s.Reshard(4); err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards() != 4 || s.TopologyGeneration() != 1 {
-		t.Fatalf("reshard landed wrong: shards=%d topo=%d", s.Shards(), s.TopologyGeneration())
-	}
-	fresh, err := s.Run(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Cached {
-		t.Fatal("re-sharded server served a stale merged answer from the cache")
-	}
-	if fresh.Shards != 4 {
-		t.Fatalf("post-reshard answer reports %d shards, want 4", fresh.Shards)
-	}
-	if !reflect.DeepEqual(fresh.Results, first.Results) {
-		t.Fatal("reshard changed the answer")
-	}
-
-	// Tear down to unsharded, then again: every transition is a fresh
-	// topology generation and a fresh execution.
-	if err := s.Reshard(1); err != nil {
-		t.Fatal(err)
-	}
-	down, err := s.Run(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down.Cached || down.Shards != 0 {
-		t.Fatalf("unsharded answer after teardown wrong: %+v", down)
-	}
-	// A no-op reshard keeps the cache warm.
-	if err := s.Reshard(1); err != nil {
-		t.Fatal(err)
-	}
-	same, err := s.Run(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same.Cached {
-		t.Fatal("no-op reshard dropped the cache")
-	}
-}
-
-// TestReshardEndpoint drives /v1/reshard over HTTP and checks the stats
-// section follows the topology.
-func TestReshardEndpoint(t *testing.T) {
+// TestShardedStatsFollowTopology checks the /v1/stats cluster section
+// describes the boot-time shard topology and that its per-shard latency
+// rows account for every shard query.
+func TestShardedStatsFollowTopology(t *testing.T) {
 	g := testGraph(200, 600, 17)
-	s := mustServer(t, g, testScores(200, 17), 2, Options{SkipIndexes: true})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	body := postJSON(t, srv.URL+"/v1/reshard", `{"shards":3}`)
-	if !strings.Contains(body, `"shards":3`) || !strings.Contains(body, `"topology_generation":1`) {
-		t.Fatalf("reshard response: %s", body)
-	}
+	s := mustServer(t, g, testScores(200, 17), 2, Options{SkipIndexes: true, Shards: 3})
 	if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "wsum"}); err != nil {
 		t.Fatal(err)
 	}
 	stats := s.Stats()
 	if stats.Cluster == nil || stats.Cluster.Shards != 3 || len(stats.Cluster.PerShard) != 3 {
-		t.Fatalf("cluster stats missing after reshard: %+v", stats.Cluster)
+		t.Fatalf("cluster stats do not describe 3 shards: %+v", stats.Cluster)
 	}
 	if stats.Cluster.ShardQueries == 0 || stats.Cluster.Messages == 0 {
 		t.Fatalf("cluster counters flat after a query: %+v", stats.Cluster)
@@ -221,15 +137,10 @@ func TestReshardEndpoint(t *testing.T) {
 	if perShardQueries != stats.Cluster.ShardQueries {
 		t.Fatalf("per-shard latency counts %d != shard queries %d", perShardQueries, stats.Cluster.ShardQueries)
 	}
-
-	// Invalid reshards are rejected.
-	if code := postJSONStatus(t, srv.URL+"/v1/reshard", `{"shards":0}`); code != 400 {
-		t.Fatalf("shards=0 answered %d, want 400", code)
-	}
 }
 
 // TestServerOverShardWorkers runs a full coordinator server over HTTP
-// shard workers and cross-checks results, updates, and reshard refusal.
+// shard workers and cross-checks results and updates.
 func TestServerOverShardWorkers(t *testing.T) {
 	g := testGraph(300, 900, 19)
 	scores := testScores(300, 19)
@@ -285,9 +196,6 @@ func TestServerOverShardWorkers(t *testing.T) {
 		t.Fatal("worker-backed post-update results diverge")
 	}
 
-	if err := coord.Reshard(5); err == nil {
-		t.Fatal("worker-backed server accepted a reshard")
-	}
 	st := coord.Stats()
 	if st.Cluster == nil || !st.Cluster.Remote {
 		t.Fatalf("worker-backed stats not marked remote: %+v", st.Cluster)

@@ -255,48 +255,3 @@ func TestShardedServerEdits(t *testing.T) {
 		identicalResults(t, req.Aggregate+"/"+req.Algorithm, got.Results, want.Results)
 	}
 }
-
-// TestReshardAfterNodeAdd is the regression test for /v1/reshard on a
-// grown node set: resharding after /v1/edges added nodes must partition
-// the current graph (new nodes included), not the boot-time one.
-func TestReshardAfterNodeAdd(t *testing.T) {
-	g := testGraph(250, 500, 5)
-	scores := testScores(250, 5)
-	s := mustServer(t, g, scores, 2, Options{Shards: 2, SkipIndexes: true})
-
-	if _, err := s.ApplyEdits([]EditRequest{
-		{Op: "add-node"},
-		{Op: "add-node"},
-		{Op: "add-edge", U: 250, V: 251},
-		{Op: "add-edge", U: 250, V: 0},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ApplyUpdates([]ScoreUpdate{{Node: 251, Score: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	topoBefore := s.TopologyGeneration()
-	if err := s.Reshard(4); err != nil {
-		t.Fatalf("reshard after node adds: %v", err)
-	}
-	if s.Shards() != 4 || s.TopologyGeneration() != topoBefore+1 {
-		t.Fatalf("shards=%d topo=%d", s.Shards(), s.TopologyGeneration())
-	}
-
-	// The resharded topology must still answer for the new nodes.
-	flat := mustServer(t, s.Graph(), s.Scores(), 2, Options{SkipIndexes: true})
-	for _, req := range []QueryRequest{
-		{K: 10, Aggregate: "sum", Algorithm: "base"},
-		{K: 2, Aggregate: "sum", Algorithm: "base", Candidates: []int{250, 251}},
-	} {
-		got, err := s.Run(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := flat.Run(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalResults(t, "resharded "+req.Aggregate, got.Results, want.Results)
-	}
-}

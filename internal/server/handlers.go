@@ -15,7 +15,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/topk", s.handleTopK)
 	mux.HandleFunc("/v1/scores", s.handleScores)
 	mux.HandleFunc("/v1/edges", s.handleEdges)
-	mux.HandleFunc("/v1/reshard", s.handleReshard)
 	mux.HandleFunc("/v1/catchup", s.handleCatchUp)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/v1/stats", s.handleStats)
@@ -158,39 +157,6 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// reshardRequest is the /v1/reshard body.
-type reshardRequest struct {
-	Shards int `json:"shards"`
-}
-
-// reshardResponse reports the topology after a reshard.
-type reshardResponse struct {
-	Shards             int    `json:"shards"`
-	TopologyGeneration uint64 `json:"topology_generation"`
-}
-
-// handleReshard re-partitions an in-process sharded server live: ops can
-// tune the shard count against observed per-shard latency without a
-// restart. The bumped topology generation retires every cached answer.
-func (s *Server) handleReshard(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	var req reshardRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.Reshard(req.Shards); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, reshardResponse{
-		Shards:             s.Shards(),
-		TopologyGeneration: s.TopologyGeneration(),
-	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/journal"
@@ -267,96 +265,8 @@ func TestAsOfOutsideRetention(t *testing.T) {
 	}
 }
 
-// windowOracle recomputes a window query by brute force: every node's
-// exact value at every generation in the window (via traced as_of point
-// queries), combined in the test, ranked value-desc then node-asc.
-func windowOracle(t *testing.T, s *Server, anchor uint64, window, k int, agg, windowAgg string, decay float64) []core.Result {
-	t.Helper()
-	n := s.Graph().NumNodes()
-	combined := make(map[int]float64)
-	for i := 0; i < window; i++ {
-		gen := anchor - uint64(window-1-i)
-		ans, err := s.Run(ctx, QueryRequest{K: n, Aggregate: agg, Algorithm: "base", AsOf: gen, Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Match the server's repeated-multiply pow exactly (math.Pow
-		// can differ in the last bit).
-		weight := 1.0
-		if windowAgg == "decay" {
-			for a := 0; a < window-1-i; a++ {
-				weight *= decay
-			}
-		}
-		for _, r := range ans.Results {
-			if windowAgg == "max" {
-				if r.Value > combined[r.Node] {
-					combined[r.Node] = r.Value
-				}
-			} else {
-				combined[r.Node] += weight * r.Value
-			}
-		}
-	}
-	ranked := make([]core.Result, 0, len(combined))
-	for v, val := range combined {
-		ranked = append(ranked, core.Result{Node: v, Value: val})
-	}
-	sort.Slice(ranked, func(a, b int) bool {
-		if ranked[a].Value != ranked[b].Value {
-			return ranked[a].Value > ranked[b].Value
-		}
-		return ranked[a].Node < ranked[b].Node
-	})
-	if len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	return ranked
-}
-
-// TestWindowQueries: the temporal surface returns the exact top-k of the
-// max / decay-combined per-generation series, for both window combiners
-// and at both the live anchor and a retained as_of anchor.
-func TestWindowQueries(t *testing.T) {
-	g := testGraph(150, 450, 19)
-	s := mustServer(t, g, testScores(150, 19), 2, Options{SkipIndexes: true})
-	driveMutations(t, s, 29)
-
-	anchors := []uint64{s.Generation(), s.Generation() - 1}
-	for _, anchor := range anchors {
-		for _, tc := range []struct {
-			windowAgg string
-			decay     float64
-		}{{"max", 0}, {"decay", 0.5}, {"decay", 0.9}} {
-			const window, k = 3, 8
-			req := QueryRequest{K: k, Aggregate: "sum", Algorithm: "base",
-				AsOf: anchor, Window: window, WindowAgg: tc.windowAgg, Decay: tc.decay}
-			got, err := s.Run(ctx, req)
-			if err != nil {
-				t.Fatalf("anchor %d %s: %v", anchor, tc.windowAgg, err)
-			}
-			decay := tc.decay
-			if tc.windowAgg == "decay" && decay == 0 {
-				decay = 0.5
-			}
-			want := windowOracle(t, s, anchor, window, k, "sum", tc.windowAgg, decay)
-			label := tc.windowAgg
-			identicalResults(t, label, got.Results, want)
-
-			// The window answer is cacheable: an identical repeat hits.
-			again, err := s.Run(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !again.Cached {
-				t.Fatalf("anchor %d %s: repeat window query missed the cache", anchor, tc.windowAgg)
-			}
-		}
-	}
-}
-
-// TestTemporalValidation: the malformed corners of the as_of/window
-// request surface are rejected up front.
+// TestTemporalValidation: the malformed corners of the as_of request
+// surface are rejected up front.
 func TestTemporalValidation(t *testing.T) {
 	g := testGraph(80, 240, 23)
 	s := mustServer(t, g, testScores(80, 23), 2, Options{SkipIndexes: true})
@@ -364,18 +274,8 @@ func TestTemporalValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []QueryRequest{
-		{K: 5, Aggregate: "sum", Window: 2},                                      // no window_agg
-		{K: 5, Aggregate: "sum", Window: 2, WindowAgg: "median"},                 // unknown combiner
-		{K: 5, Aggregate: "sum", Window: 2, WindowAgg: "max", Decay: 0.5},        // decay with max
-		{K: 5, Aggregate: "sum", Window: 2, WindowAgg: "decay", Decay: 1.5},      // decay out of range
-		{K: 5, Aggregate: "sum", WindowAgg: "max"},                               // window_agg without window
-		{K: 5, Aggregate: "sum", Decay: 0.5},                                     // decay without window
-		{K: 5, Aggregate: "sum", Window: 2, WindowAgg: "max", Budget: 100},       // budget with window
-		{K: 5, Aggregate: "sum", Window: -1},                                     // negative window
-		{K: 5, Aggregate: "sum", Algorithm: "view", AsOf: 1},                     // view is live-only
-		{K: 5, Aggregate: "sum", Algorithm: "view", Window: 2, WindowAgg: "max"}, // view is live-only
-		{K: 5, Aggregate: "sum", Window: 5, WindowAgg: "max"},                    // reaches past generation 0
-		{K: 5, Aggregate: "sum", AsOf: 99},                                       // not retained
+		{K: 5, Aggregate: "sum", Algorithm: "view", AsOf: 1}, // view is live-only
+		{K: 5, Aggregate: "sum", AsOf: 99},                   // not retained
 	}
 	for i, req := range bad {
 		if _, err := s.Run(ctx, req); err == nil {

@@ -573,54 +573,6 @@ func TestOTLPExportStitchesShardSpans(t *testing.T) {
 	}
 }
 
-// TestReshardResetsShardHistograms pins the /v1/reshard histogram
-// contract: a real reshard swaps in fresh per-shard histograms (under
-// the write lock, so no scrape can see a half-reset), while a same-count
-// reshard is a no-op that keeps them.
-func TestReshardResetsShardHistograms(t *testing.T) {
-	g := testGraph(200, 400, 41)
-	scores := testScores(200, 42)
-	s := mustServer(t, g, scores, 2, Options{Shards: 2, SkipIndexes: true, CacheBytes: -1})
-
-	if _, err := s.Run(ctx, QueryRequest{K: 4, Aggregate: "wsum"}); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats()
-	var total int64
-	for _, sl := range before.Cluster.PerShard {
-		total += sl.Latency.Count
-	}
-	if total == 0 {
-		t.Fatal("sharded query recorded no per-shard latency")
-	}
-
-	if err := s.Reshard(2); err != nil { // same count: no-op, keeps hists
-		t.Fatal(err)
-	}
-	kept := s.Stats()
-	var keptTotal int64
-	for _, sl := range kept.Cluster.PerShard {
-		keptTotal += sl.Latency.Count
-	}
-	if keptTotal != total || kept.Cluster.TopologyGen != before.Cluster.TopologyGen {
-		t.Fatalf("same-count reshard mutated state: counts %d->%d, topo %d->%d",
-			total, keptTotal, before.Cluster.TopologyGen, kept.Cluster.TopologyGen)
-	}
-
-	if err := s.Reshard(3); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Stats()
-	if after.Cluster.Shards != 3 || len(after.Cluster.PerShard) != 3 {
-		t.Fatalf("reshard to 3 reported %d shards / %d rows", after.Cluster.Shards, len(after.Cluster.PerShard))
-	}
-	for _, sl := range after.Cluster.PerShard {
-		if sl.Latency.Count != 0 {
-			t.Fatalf("shard %d histogram survived the reshard with count %d", sl.Shard, sl.Latency.Count)
-		}
-	}
-}
-
 // TestRenderMetricsIsValid validates the exposition on quiet, busy, and
 // unsharded servers — including the histogram families, whose log2
 // buckets must satisfy the cumulative invariants promtext enforces.

@@ -34,7 +34,7 @@ func (s *Server) renderMetrics() string {
 	b.Grow(8 << 10)
 
 	s.mu.RLock()
-	gen, topo, cl := s.gen, s.topo, s.cl
+	gen, cl := s.gen, s.cl
 	g, h := s.engine.Graph(), s.engine.H()
 	s.mu.RUnlock()
 
@@ -44,8 +44,6 @@ func (s *Server) renderMetrics() string {
 		time.Since(m.start).Seconds())
 	writeGauge(&b, "lona_generation", "Current score generation (bumped per update or edit batch).",
 		float64(gen))
-	writeGauge(&b, "lona_topology_generation", "Current shard-topology generation (bumped per reshard).",
-		float64(topo))
 	writeGauge(&b, "lona_graph_nodes", "Nodes in the current-generation graph.", float64(g.NumNodes()))
 	writeGauge(&b, "lona_graph_edges", "Edges in the current-generation graph.", float64(g.NumEdges()))
 	writeGauge(&b, "lona_h", "Neighborhood radius h the server answers for.", float64(h))
@@ -126,8 +124,6 @@ func (s *Server) renderMetrics() string {
 		writeCounter(&b, "lona_shards_cut_total", "Shards ended early by the TA merge bound.",
 			m.shardsCut.Load())
 		writeCounter(&b, "lona_cluster_messages_total", "Cross-shard messages.", m.clusterMessages.Load())
-		writeCounter(&b, "lona_reshards_total", "Shard-topology rebuilds via /v1/reshard.",
-			m.reshards.Load())
 		writeCounter(&b, "lona_partial_batches_total", "Streamed partial frames folded into merges.",
 			m.partialBatches.Load())
 		writeCounter(&b, "lona_budget_redistributed_total",

@@ -36,15 +36,12 @@
 // expansions and frees its goroutine.
 //
 // Results are cached in a sharded, byte-accounted LRU keyed by
-// (k, aggregate, algorithm, options, candidates, budget, generation,
-// shard-topology generation): repeats at an unchanged generation are
-// O(1), and any update invalidates implicitly because the new generation
-// changes every key — no scan-and-evict. Re-sharding bumps the topology
-// generation the same way, so a re-partitioned server can never serve a
-// merged answer computed under the previous topology. Concurrent
-// identical cold queries collapse to one execution via singleflight; if
-// the one executing caller is cancelled, a surviving waiter re-executes
-// instead of inheriting the cancellation.
+// (generation, k, aggregate, algorithm, budget, candidates): repeats at
+// an unchanged generation are O(1), and any update invalidates implicitly
+// because the new generation changes every key — no scan-and-evict.
+// Concurrent identical cold queries collapse to one execution via
+// singleflight; if the one executing caller is cancelled, a surviving
+// waiter re-executes instead of inheriting the cancellation.
 //
 // # What "auto" executes
 //
@@ -54,7 +51,7 @@
 // by View.Run under the read lock and reported as algorithm "view",
 // planned, with a reason (Server.runView). Everything else takes the
 // engine or coordinator path: WSUM and MAX, directed graphs (no view),
-// as_of and window queries (retained generations have engines, not views),
+// as_of queries (retained generations have engines, not views),
 // and every explicitly named algorithm. A view scan that loses the race to
 // a write falls back to the snapshot's engine, so an answer is always
 // computed at the generation its cache key names.
@@ -73,9 +70,9 @@
 // (lonad -shard-peers) the shards live behind worker lonad processes and
 // the fan-out crosses HTTP. View-served queries (above) always scan the
 // coordinator's whole-graph materialized view — a single O(n) scan with
-// nothing to distribute. POST /v1/reshard re-partitions a -shards server live,
-// and /v1/stats grows a cluster section with per-shard latency and
-// cross-shard message counters.
+// nothing to distribute. The shard count is fixed at boot, and /v1/stats
+// grows a cluster section with per-shard latency and cross-shard message
+// counters.
 package server
 
 import (
@@ -84,7 +81,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,8 +163,8 @@ type Options struct {
 	// POST /v1/snapshot anchors the journal to the written snapshot.
 	Journal *journal.Journal
 	// RetainGenerations bounds the in-memory ring of recent generations
-	// kept for as_of time travel and windowed temporal queries (default
-	// 8; 1 retains only the live generation, disabling time travel).
+	// kept for as_of time travel (default 8; 1 retains only the live
+	// generation, disabling time travel).
 	RetainGenerations int
 }
 
@@ -192,21 +188,19 @@ type Server struct {
 	g *graph.Graph
 
 	// mu guards the generation state below, RWMutex-style: queries take a
-	// brief RLock to snapshot (gen, topo, engine, view, cluster); update
-	// batches and reshards take the write lock for the duration of the
-	// view repair + engine or shard rebuild.
+	// brief RLock to snapshot (gen, engine, view, cluster); update batches
+	// take the write lock for the duration of the view repair + engine
+	// rebuild.
 	mu     sync.RWMutex
 	gen    uint64
-	topo   uint64       // shard-topology generation; bumped by Reshard
 	engine *core.Engine // immutable per generation; safe lock-free after snapshot
 	view   *core.View   // materialized aggregates; nil for directed graphs
 	cl     *clusterState
 
 	// ring holds the most recent generations (newest last, always
 	// including the live one), guarded by mu. Each entry pins the
-	// immutable (graph, engine) pair of one generation so as_of queries
-	// and temporal windows can execute against retired generations
-	// without re-deriving them.
+	// immutable engine of one generation so as_of queries can execute
+	// against retired generations without re-deriving them.
 	ring []genEntry
 
 	cache   *shardedCache // nil when caching is disabled
@@ -221,8 +215,6 @@ type Server struct {
 // query exactly as it would have been answered live at that generation.
 type genEntry struct {
 	gen    uint64
-	topo   uint64
-	g      *graph.Graph
 	engine *core.Engine
 }
 
@@ -230,10 +222,8 @@ type genEntry struct {
 // Options.RetainGenerations is zero.
 const retainDefault = 8
 
-// clusterState is one shard topology's serving state: the coordinator
-// plus the per-shard latency histograms /v1/stats reports. Replaced
-// wholesale by Reshard (under the write lock), so histograms never mix
-// topologies.
+// clusterState is the shard topology's serving state, fixed at boot: the
+// coordinator plus the per-shard latency histograms /v1/stats reports.
 type clusterState struct {
 	coord  *cluster.Coordinator
 	shards int
@@ -259,7 +249,6 @@ func newClusterState(coord *cluster.Coordinator, remote bool) *clusterState {
 // snapshot is one query's consistent view of the generation state.
 type snapshot struct {
 	gen    uint64
-	topo   uint64
 	engine *core.Engine
 	view   *core.View
 	cl     *clusterState
@@ -270,7 +259,7 @@ type snapshot struct {
 func (s *Server) snapshot() snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := snapshot{gen: s.gen, topo: s.topo, engine: s.engine, view: s.view, cl: s.cl}
+	snap := snapshot{gen: s.gen, engine: s.engine, view: s.view, cl: s.cl}
 	if s.cl != nil {
 		snap.qv = s.cl.coord.Snapshot()
 	}
@@ -439,52 +428,6 @@ func (s *Server) Shards() int {
 	return s.cl.shards
 }
 
-// TopologyGeneration returns the shard-topology generation (0 at
-// startup, +1 per Reshard). It participates in every cache key, so
-// answers merged under one topology can never serve another.
-func (s *Server) TopologyGeneration() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.topo
-}
-
-// Reshard re-partitions a -shards style server to a new in-process shard
-// count (1 tears sharding down) and bumps the topology generation,
-// implicitly invalidating every cached answer. Queries already in flight
-// finish against the topology they snapshotted. Servers whose shards
-// live behind HTTP workers cannot reshard — their partitioning is fixed
-// by the worker processes.
-func (s *Server) Reshard(parts int) error {
-	if parts < 1 {
-		return fmt.Errorf("reshard: need at least 1 shard, got %d", parts)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cl != nil && s.cl.remote {
-		return errors.New("reshard: shard topology is fixed by the worker processes (-shard-peers)")
-	}
-	if (s.cl == nil && parts == 1) || (s.cl != nil && s.cl.shards == parts) {
-		return nil // already there; keep the cache warm
-	}
-	if parts == 1 {
-		s.cl = nil
-		s.topo++
-		s.metrics.reshards.Add(1)
-		return nil
-	}
-	local, err := cluster.NewLocal(s.g, s.engine.Scores(), s.engine.H(), parts)
-	if err != nil {
-		return err
-	}
-	if !s.opts.SkipIndexes {
-		local.PrepareIndexes(s.opts.Workers)
-	}
-	s.cl = newClusterState(cluster.NewCoordinator(local, cluster.Options{}), false)
-	s.topo++
-	s.metrics.reshards.Add(1)
-	return nil
-}
-
 // Generation returns the current score generation: the boot snapshot's
 // stamped generation when the server was restored from one (0 when built
 // from scratch), +1 per applied update or edit batch.
@@ -523,12 +466,9 @@ func (s *Server) numNodes() int {
 // (the view answers live SUM/AVG/COUNT, the planner decides the rest) and
 // "view" (serve from the materialized view or fail).
 type QueryRequest struct {
-	K         int     `json:"k"`
-	Aggregate string  `json:"aggregate"`
-	Algorithm string  `json:"algorithm,omitempty"` // default "auto"
-	Gamma     float64 `json:"gamma,omitempty"`
-	Order     string  `json:"order,omitempty"` // natural | degree-desc | score-desc
-	Workers   int     `json:"workers,omitempty"`
+	K         int    `json:"k"`
+	Aggregate string `json:"aggregate"`
+	Algorithm string `json:"algorithm,omitempty"` // default "auto"
 	// TimeoutMS is a server-side deadline for this request in
 	// milliseconds; 0 means no extra deadline beyond the caller's context.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -550,22 +490,9 @@ type QueryRequest struct {
 	// byte-identical to the live answer for explicitly named algorithms,
 	// equal up to summation-order ulps where the live "auto" answer came
 	// from the view. 0 (and the live generation) mean "now"; generations
-	// outside the retention ring are rejected.
+	// outside the retention ring are rejected, and so is "view", which
+	// serves only the live generation.
 	AsOf uint64 `json:"as_of,omitempty"`
-	// Window widens the query across the Window most recent retained
-	// generations ending at AsOf (or the live generation): each node's
-	// per-generation aggregates are combined by WindowAgg and the top-k
-	// of the combined series is returned exactly. 0 and 1 mean a point
-	// query.
-	Window int `json:"window,omitempty"`
-	// WindowAgg combines one node's values across the window: "max"
-	// (peak over the window) or "decay" (exponentially decayed sum,
-	// Σ decay^age · value, age 0 = the newest generation). Required when
-	// Window > 1.
-	WindowAgg string `json:"window_agg,omitempty"`
-	// Decay is the per-generation decay factor in (0,1] for
-	// WindowAgg "decay" (default 0.5).
-	Decay float64 `json:"decay,omitempty"`
 }
 
 // algoView is the extra serving-only "algorithm": answer from the
@@ -573,16 +500,16 @@ type QueryRequest struct {
 const algoView = "view"
 
 // normalize validates the request and fills defaults.
-func (r *QueryRequest) normalize(s *Server) (agg core.Aggregate, order core.QueueOrder, err error) {
+func (r *QueryRequest) normalize(s *Server) (core.Aggregate, error) {
 	if r.K <= 0 {
-		return 0, 0, fmt.Errorf("k must be positive, got %d", r.K)
+		return 0, fmt.Errorf("k must be positive, got %d", r.K)
 	}
 	// Canonicalize the strings that participate in the cache key.
 	r.Aggregate = strings.ToLower(r.Aggregate)
 	r.Algorithm = strings.ToLower(r.Algorithm)
-	agg, err = ParseAggregate(r.Aggregate)
+	agg, err := ParseAggregate(r.Aggregate)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if r.Algorithm == "" {
 		r.Algorithm = "auto"
@@ -591,74 +518,28 @@ func (r *QueryRequest) normalize(s *Server) (agg core.Aggregate, order core.Queu
 	case "auto":
 	case algoView:
 		if s.view == nil {
-			return 0, 0, errors.New(`algorithm "view" requires an undirected graph`)
+			return 0, errors.New(`algorithm "view" requires an undirected graph`)
+		}
+		if r.AsOf != 0 {
+			return 0, errors.New(`algorithm "view" serves only the live generation (drop as_of)`)
 		}
 	default:
 		if _, err := ParseAlgorithm(r.Algorithm); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-	}
-	switch r.Order {
-	case "", "natural":
-		order = core.OrderNatural
-	case "degree-desc":
-		order = core.OrderDegreeDesc
-	case "score-desc":
-		order = core.OrderScoreDesc
-	default:
-		return 0, 0, fmt.Errorf("unknown order %q (want natural, degree-desc, or score-desc)", r.Order)
-	}
-	if r.Gamma < 0 || r.Gamma > 1 {
-		return 0, 0, fmt.Errorf("gamma %v outside [0,1]", r.Gamma)
 	}
 	if r.TimeoutMS < 0 {
-		return 0, 0, fmt.Errorf("timeout_ms %d is negative", r.TimeoutMS)
+		return 0, fmt.Errorf("timeout_ms %d is negative", r.TimeoutMS)
 	}
 	if r.Budget < 0 {
-		return 0, 0, fmt.Errorf("budget %d is negative", r.Budget)
+		return 0, fmt.Errorf("budget %d is negative", r.Budget)
 	}
-	if err := r.canonicalizeCandidates(s.numNodes()); err != nil {
-		return 0, 0, err
+	if r.Algorithm == algoView {
+		// The view scan performs no traversals to budget; zero it so
+		// equivalent requests share one cache key.
+		r.Budget = 0
 	}
-	if err := r.normalizeTemporal(s); err != nil {
-		return 0, 0, err
-	}
-	// Canonicalize option fields the chosen path ignores, so equivalent
-	// requests share one cache key and one in-flight execution: gamma only
-	// steers Backward, the queue order only steers Forward, and the
-	// auto/view paths choose their own options. timeout_ms never affects
-	// the answer and is excluded from the key entirely. Workers is zeroed
-	// except for the explicit parallel scan — the only path that consumes
-	// it (the planner never chooses it) — where a budget splits across
-	// per-worker node ranges and so changes the answer; the clamp below
-	// runs before the cache key is built so over-core worker counts
-	// collapse onto one entry.
-	switch r.Algorithm {
-	case "auto", algoView:
-		r.Gamma, r.Order = 0, ""
-		r.Workers = 0
-		if r.Algorithm == algoView {
-			r.Budget = 0 // the view scan performs no traversals to budget
-		}
-	default:
-		algo, _ := ParseAlgorithm(r.Algorithm)
-		if algo != core.AlgoBackward {
-			r.Gamma = 0
-		}
-		if algo != core.AlgoForward {
-			r.Order = ""
-		}
-		if algo != core.AlgoBaseParallel {
-			r.Workers = 0
-		}
-	}
-	if r.Workers < 0 {
-		r.Workers = 0
-	}
-	if max := runtime.GOMAXPROCS(0); r.Workers > max {
-		r.Workers = max
-	}
-	return agg, order, nil
+	return agg, r.canonicalizeCandidates(s.numNodes())
 }
 
 // canonicalizeCandidates validates the candidate ids and rewrites them
@@ -686,18 +567,15 @@ func (r *QueryRequest) canonicalizeCandidates(n int) error {
 	return nil
 }
 
-// cacheKey identifies a query result within one (score, shard-topology)
-// generation pair. Everything that can change the response body
-// participates (timeout_ms does not — it changes only whether the query
-// finishes, never its answer). The topology generation matters even
-// though merged answers are byte-identical across topologies: stats,
-// shard counts, and truncation behavior differ, and a re-shard mid-build
-// must never replay a stale merged entry.
-func (r *QueryRequest) cacheKey(gen, topo uint64) string {
+// cacheKey identifies a query result within one generation. Everything
+// that can change the response body participates; timeout_ms does not —
+// it changes only whether the query finishes, never its answer. Neither
+// does as_of: a time-travel query reuses the key the live query wrote at
+// that generation (gen IS as_of), which is exactly what makes retained
+// cache entries the fast path.
+func (r *QueryRequest) cacheKey(gen uint64) string {
 	var b strings.Builder
 	b.WriteString(strconv.FormatUint(gen, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(topo, 10))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(r.K))
 	b.WriteByte('|')
@@ -705,22 +583,7 @@ func (r *QueryRequest) cacheKey(gen, topo uint64) string {
 	b.WriteByte('|')
 	b.WriteString(r.Algorithm)
 	b.WriteByte('|')
-	b.WriteString(strconv.FormatFloat(r.Gamma, 'g', -1, 64))
-	b.WriteByte('|')
-	b.WriteString(r.Order)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(r.Workers))
-	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(r.Budget))
-	b.WriteByte('|')
-	// The window triple, NOT as_of: a time-travel point query reuses the
-	// key the live query wrote at that generation (gen above IS as_of),
-	// which is exactly what makes retained cache entries the fast path.
-	b.WriteString(strconv.Itoa(r.Window))
-	b.WriteByte('|')
-	b.WriteString(r.WindowAgg)
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatFloat(r.Decay, 'g', -1, 64))
 	b.WriteByte('|')
 	for i, v := range r.Candidates {
 		if i > 0 {
@@ -753,7 +616,7 @@ func (s *Server) Run(ctx context.Context, req QueryRequest) (*Answer, error) {
 // caller's execution), or "bypass" (executed outside the cache — traced
 // request or caching disabled).
 func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, string, error) {
-	agg, order, err := req.normalize(s)
+	agg, err := req.normalize(s)
 	if err != nil {
 		return nil, wideevent.CacheBypass, err
 	}
@@ -768,7 +631,7 @@ func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, str
 	if asOf {
 		// Time travel: swap the execution snapshot for the retained
 		// generation. The cache key below is built from the entry's
-		// (gen, topo), so a still-resident live answer from that
+		// generation, so a still-resident live answer from that
 		// generation serves this query byte-identically.
 		entry, oldest, ok := s.retained(req.AsOf)
 		if !ok {
@@ -777,10 +640,10 @@ func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, str
 					req.AsOf, oldest, snap.gen)
 		}
 		s.metrics.asOfQueries.Add(1)
-		snap = snapshot{gen: entry.gen, topo: entry.topo, engine: entry.engine}
+		snap = snapshot{gen: entry.gen, engine: entry.engine}
 	}
 
-	key := req.cacheKey(snap.gen, snap.topo)
+	key := req.cacheKey(snap.gen)
 	if s.cache != nil {
 		if ans, ok := s.cache.get(key); ok {
 			if asOf {
@@ -808,7 +671,7 @@ func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, str
 		// neither joins the singleflight collapse (a shared answer's
 		// trace would describe someone else's run) nor lands in the
 		// cache (replaying a stale timeline as if it just happened).
-		ans, err := s.execute(ctx, *req, agg, order, snap)
+		ans, err := s.execute(ctx, *req, agg, snap)
 		if err != nil {
 			s.metrics.noteQueryAborted(err)
 			return nil, wideevent.CacheBypass, err
@@ -818,7 +681,7 @@ func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, str
 	}
 
 	run := func() (*Answer, error) {
-		return s.execute(ctx, *req, agg, order, snap)
+		return s.execute(ctx, *req, agg, snap)
 	}
 	ans, err, shared := s.flight.do(ctx, key, run)
 	// A shared context error means the caller that executed the flight was
@@ -908,9 +771,7 @@ func isContextErr(err error) bool {
 // "auto" or "view" at the live generation — see runView), or else against
 // the snapshot's immutable engine or its pinned shard set. Every answer is
 // computed at snap.gen: callers key caches and collapsed flights by it.
-func (s *Server) execute(ctx context.Context, req QueryRequest, agg core.Aggregate, order core.QueueOrder,
-	snap snapshot) (*Answer, error) {
-
+func (s *Server) execute(ctx context.Context, req QueryRequest, agg core.Aggregate, snap snapshot) (*Answer, error) {
 	ans := &Answer{Generation: snap.gen, Algorithm: req.Algorithm}
 	start := time.Now()
 
@@ -924,17 +785,6 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, agg core.Aggrega
 		if req.Trace {
 			rec.Emit(trace.KindCacheMiss, 0, 0, "executing")
 		}
-	}
-
-	if req.Window > 1 {
-		// Temporal window: combine per-generation aggregates across the
-		// retained ring (see runWindow). Executes on the retained
-		// engines directly — sharding never applies.
-		if err := s.runWindow(ctx, req, agg, order, snap, ans); err != nil {
-			return nil, err
-		}
-		s.finishExecute(ans, req, rec, start)
-		return ans, nil
 	}
 
 	// The routing rule: what the view maintains, the view answers. Every
@@ -957,12 +807,7 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, agg core.Aggrega
 	q := core.Query{K: req.K, Aggregate: agg, Candidates: req.Candidates, Budget: req.Budget, Tracer: rec}
 	if req.Algorithm != "auto" && req.Algorithm != algoView {
 		q.Algorithm, _ = ParseAlgorithm(req.Algorithm) // validated in normalize
-		// Wire-supplied parallelism was already clamped to GOMAXPROCS by
-		// normalize, before the cache key was built.
-		q.Options = core.Options{Gamma: req.Gamma, Order: order, Workers: req.Workers}
-		if q.Options.Workers <= 0 {
-			q.Options.Workers = s.opts.Workers
-		}
+		q.Options = core.Options{Workers: s.opts.Workers}
 	}
 	res, err := s.dispatch(ctx, snap, ans, q)
 	if err != nil {
@@ -1325,10 +1170,10 @@ func (s *Server) replayCommit(c journal.Commit) error {
 // ring and trims it to the configured depth. Caller holds the write
 // lock (or exclusive access during New).
 func (s *Server) retainGeneration() {
-	s.ring = append(s.ring, genEntry{gen: s.gen, topo: s.topo, g: s.g, engine: s.engine})
+	s.ring = append(s.ring, genEntry{gen: s.gen, engine: s.engine})
 	if over := len(s.ring) - s.opts.RetainGenerations; over > 0 {
-		// Slide rather than re-slice so retired (graph, engine) pairs
-		// drop their references and can be collected.
+		// Slide rather than re-slice so retired engines drop their
+		// references and can be collected.
 		copy(s.ring, s.ring[over:])
 		for i := len(s.ring) - over; i < len(s.ring); i++ {
 			s.ring[i] = genEntry{}
@@ -1604,7 +1449,7 @@ func (s *Server) Stats() Stats {
 	st.Generation = s.gen
 	g := s.engine.Graph()
 	st.Nodes, st.Edges, st.H = g.NumNodes(), int64(g.NumEdges()), s.engine.H()
-	cl, topo := s.cl, s.topo
+	cl := s.cl
 	s.mu.RUnlock()
 	if s.cache != nil {
 		st.Cache.Entries = s.cache.len()
@@ -1616,8 +1461,6 @@ func (s *Server) Stats() Stats {
 		cs := &ClusterStats{
 			Shards:              cl.shards,
 			Remote:              cl.remote,
-			TopologyGen:         topo,
-			Reshards:            s.metrics.reshards.Load(),
 			EdgeCut:             topology.EdgeCut,
 			BoundaryNodes:       topology.BoundaryNodes,
 			ShardQueries:        s.metrics.shardQueries.Load(),

@@ -116,7 +116,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 					return
 				default:
 				}
-				_, err := s.Run(ctx, QueryRequest{K: 5 + i, Aggregate: "sum", Algorithm: algo, Gamma: 0.3})
+				_, err := s.Run(ctx, QueryRequest{K: 5 + i, Aggregate: "sum", Algorithm: algo})
 				if err != nil && firstErr == nil {
 					firstErr = err
 				}
@@ -180,7 +180,7 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	g := testGraph(80, 240, 33)
 	s := mustServer(t, g, testScores(80, 33), 2, Options{})
 
-	req := QueryRequest{K: 10, Aggregate: "sum", Algorithm: "backward", Gamma: 0.2}
+	req := QueryRequest{K: 10, Aggregate: "sum", Algorithm: "backward"}
 	cold, err := s.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +299,6 @@ func TestQueryValidation(t *testing.T) {
 		{K: -2, Aggregate: "sum"},
 		{K: 5, Aggregate: "median"},
 		{K: 5, Aggregate: "sum", Algorithm: "dijkstra"},
-		{K: 5, Aggregate: "sum", Algorithm: "backward", Gamma: 1.5},
-		{K: 5, Aggregate: "sum", Order: "random"},
 		{K: 5, Aggregate: "max", Algorithm: "forward"}, // MAX has no forward bound
 	}
 	for _, req := range bad {
@@ -360,8 +358,19 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("repeat not cached: %s (err=%v)", body, err)
 	}
 
-	// Bad requests are 400 with a JSON error.
-	for _, bad := range []string{`{`, `{"k":0,"aggregate":"sum"}`, `{"k":5,"aggregate":"sum","bogus":1}`} {
+	// Bad requests are 400 with a JSON error — including fields outside
+	// the request schema, such as the library's engine knobs (gamma,
+	// order, workers) or a temporal window: the strict decoder rejects
+	// them rather than silently answering a different query.
+	for _, bad := range []string{
+		`{`, `{"k":0,"aggregate":"sum"}`, `{"k":5,"aggregate":"sum","bogus":1}`,
+		`{"k":5,"aggregate":"sum","algorithm":"backward","gamma":0.5}`,
+		`{"k":5,"aggregate":"sum","algorithm":"forward","order":"degree-desc"}`,
+		`{"k":5,"aggregate":"sum","algorithm":"parallel","workers":2}`,
+		`{"k":5,"aggregate":"sum","window":2}`,
+		`{"k":5,"aggregate":"sum","window_agg":"max"}`,
+		`{"k":5,"aggregate":"sum","decay":0.5}`,
+	} {
 		resp, body = post("/v1/topk", bad)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q gave status %d", bad, resp.StatusCode)
@@ -370,6 +379,10 @@ func TestHTTPEndpoints(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Fatalf("non-JSON error response %s", body)
 		}
+	}
+	// The shard count is fixed at boot: there is no reshard endpoint.
+	if resp, body = post("/v1/reshard", `{"shards":2}`); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/reshard gave status %d (%s), want 404", resp.StatusCode, body)
 	}
 
 	// Score update bumps the generation.
@@ -458,48 +471,6 @@ func TestDirectedGraphServing(t *testing.T) {
 	}
 }
 
-// TestCacheKeyCanonicalization: requests differing only in option fields
-// their algorithm ignores share one cache entry (gamma only steers
-// Backward, order only steers Forward, auto picks its own options).
-func TestCacheKeyCanonicalization(t *testing.T) {
-	g := testGraph(40, 120, 41)
-	s := mustServer(t, g, testScores(40, 41), 2, Options{SkipIndexes: true})
-
-	if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum", Algorithm: "auto", Gamma: 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	ans, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum", Algorithm: "auto", Gamma: 0.7, Order: "degree-desc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans.Cached {
-		t.Fatal("auto queries differing only in ignored options did not share a cache key")
-	}
-
-	if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum", Algorithm: "base", Gamma: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	ans, err = s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum", Algorithm: "base", Gamma: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans.Cached {
-		t.Fatal("base queries differing only in gamma did not share a cache key")
-	}
-
-	// For Backward, gamma is load-bearing and must keep keys distinct.
-	if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum", Algorithm: "backward", Gamma: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	ans, err = s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum", Algorithm: "backward", Gamma: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Cached {
-		t.Fatal("backward queries with different gamma wrongly shared a cache key")
-	}
-}
-
 // TestConcurrentUpdateBatchesAndLazyIndexes races multiple ApplyUpdates
 // callers against queries that trigger core's lazy index builds
 // (SkipIndexes), all under -race: the regression surface for the unlocked
@@ -531,7 +502,7 @@ func TestConcurrentUpdateBatchesAndLazyIndexes(t *testing.T) {
 			defer wg.Done()
 			algo := []string{"forward", "backward", "auto", "view"}[w%4]
 			for q := 0; q < 15; q++ {
-				if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum", Algorithm: algo, Gamma: 0.3}); err != nil {
+				if _, err := s.Run(ctx, QueryRequest{K: 5, Aggregate: "sum", Algorithm: algo}); err != nil {
 					errs <- err
 					return
 				}

@@ -111,7 +111,6 @@ type metrics struct {
 	shardQueries    atomic.Int64 // shard queries launched across all fan-outs
 	shardsCut       atomic.Int64 // shards ended early by the TA merge bound
 	clusterMessages atomic.Int64 // cross-shard messages (bounds, queries, result items)
-	reshards        atomic.Int64 // topology rebuilds via Reshard
 	// Streaming counters: partial frames folded into merges, budget
 	// traversals moved from cut shards to still-running ones, and λ
 	// tightenings that actually moved the merge threshold.
@@ -261,10 +260,6 @@ type ShardLatency struct {
 type ClusterStats struct {
 	Shards int  `json:"shards"`
 	Remote bool `json:"remote"` // shards live behind HTTP workers
-	// TopologyGen is the shard-topology generation embedded in every
-	// cache key; Reshards counts how often it was bumped.
-	TopologyGen uint64 `json:"topology_generation"`
-	Reshards    int64  `json:"reshards"`
 	// EdgeCut and BoundaryNodes describe the partitioning itself: cut
 	// edges (in-process topologies only) and ghost nodes replicated into
 	// shard closures.
